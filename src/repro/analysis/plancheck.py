@@ -166,15 +166,12 @@ def enabled() -> bool:
 #: document their charge point before they can appear in a plan.
 CHARGE_POINTS: dict[str, str] = {
     "ScanNode": (
-        "executor._execute_scan_uncached charges surviving positions per "
-        "partition; volcano._iter_scan yields under a should_stop gate"
+        "executor.scan_partitions charges surviving positions per "
+        "partition and stops at a latched soft limit"
     ),
     "SubqueryScanNode": "pass-through rename; inner plan already charged",
     "FilterNode": "reduces charged input; never produces new rows",
-    "JoinNode": (
-        "joins recombine charged inputs; volcano charges each emitted row "
-        "in execute_volcano's drive loop"
-    ),
+    "JoinNode": "joins recombine charged inputs",
     "AggregateNode": "folds charged input; output rows bounded by input",
     "ProjectNode": "per-column rewrite of charged input; row count unchanged",
     "SortNode": "reorders charged input; row count unchanged",

@@ -11,8 +11,8 @@ This package is the protection layer, four components deep:
   (:class:`~repro.errors.AdmissionRejectedError`, retryable), smooth
   weighted round-robin scheduling, v2stats hotspot placement penalty;
 * :class:`~repro.qos.governor.ResourceGovernor` — per-query budgets
-  (rows / bytes / simulated seconds) checked at both engines' yield
-  points; soft limit → ``degraded`` partial result, hard limit →
+  (rows / bytes / simulated seconds) checked at the vectorised
+  executor's scan boundary; soft limit → ``degraded`` partial result, hard limit →
   :class:`~repro.errors.BudgetExceededError`;
 * :class:`~repro.qos.breaker.CircuitBreaker` — failure-rate tripping
   with cool-down on the simulated clock, wrapped around the federation

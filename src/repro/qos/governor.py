@@ -17,9 +17,9 @@ two thresholds per dimension:
   :class:`~repro.errors.BudgetExceededError` — terminal, not retryable,
   because re-running the query spends the same budget again.
 
-Checks happen at the volcano iterator yield points
-(``sql/volcano.py``) and at the vectorized scan boundary
-(``sql/executor.py``), so both engines honour the same budget. Charged
+Checks happen at the vectorized scan boundary (``sql/executor.py``),
+the one engine behind ``Database.execute``; the volcano and compiled
+engines are benchmark references and take no budget. Charged
 amounts and limits are plain integers/floats on simulated time:
 identical query + identical budget → identical degradation point.
 """
@@ -71,7 +71,7 @@ class ResourceGovernor:
     """Charges consumption against a :class:`QueryBudget`.
 
     One governor per query execution. ``charge()`` is called from the
-    engines' yield points; once a soft limit latches, ``should_stop``
+    executor's scan boundary; once a soft limit latches, ``should_stop``
     tells the engine to stop producing and the reason is kept for the
     result's ``degraded_reasons``. Hard limits raise immediately.
     """

@@ -31,10 +31,10 @@ class ExecutionContext:
     #: executor records node timings/row counts on it when not ``None``
     profiler: Any = None
     #: per-query ResourceGovernor installed by ``database.execute(budget=...)``;
-    #: both engines charge row production against it at their yield points
+    #: the vectorised executor charges scanned rows against it per partition
     governor: Any = None
-    #: the database's CardinalityFeedback store; when present the engines
-    #: record every signed operator's actual row count on it
+    #: the database's CardinalityFeedback store; when present the
+    #: executor records every signed operator's actual row count on it
     feedback: Any = None
     #: per-query scan memoisation keyed by scan signature *plus* bound
     #: literal values and column subset — lets a mid-query

@@ -4,9 +4,9 @@
 engine choosing good plans under shifting, skewed workloads (§II.A's
 planning layer); the HTAP-survey theme of *adaptive* HTAP engines
 (PAPERS.md) is the modern form of the same requirement. **Role in the
-query path:** the executors (:mod:`repro.sql.executor`,
-:mod:`repro.sql.volcano`) report every scan's and join's *actual* output
-row count here; the planner (:mod:`repro.sql.planner`) prefers these
+query path:** the vectorised executor (:mod:`repro.sql.executor`),
+the engine behind ``Database.execute``, reports every scan's and join's
+*actual* output row count here; the planner (:mod:`repro.sql.planner`) prefers these
 observed cardinalities over its static estimates the next time the same
 (table, normalized predicate signature) appears, and the plan cache
 (:mod:`repro.sql.plancache`) treats a significant change of an observed
@@ -28,7 +28,7 @@ Three pieces live here:
   cached plans hit-hot while real cardinality shifts invalidate them.
   ``save()``/``load()`` persist the store as JSON.
 * **Mid-query re-optimization** — :func:`observe_actual` is the single
-  check both engines call when an operator's actual row count is known.
+  check the executor calls when an operator's actual row count is known.
   When the actual exceeds the planner's estimate by more than
   :data:`REPLAN_FACTOR` (and the execution context permits re-planning),
   it raises :class:`ReplanSignal` *after* recording the fresh count, so
@@ -285,8 +285,8 @@ class CardinalityFeedback:
 def observe_actual(node: Any, rows: int, context: "ExecutionContext") -> None:
     """Record an operator's actual row count; maybe trigger re-optimization.
 
-    Called by both engines wherever an operator's complete output count
-    is known (vectorised node boundaries, volcano join-build points).
+    Called at the vectorised executor's node boundaries, where an
+    operator's complete output count is known.
     Recording happens *before* the :class:`ReplanSignal` is raised so the
     re-plan sees the fresh count. Re-planning is suppressed when the
     context forbids it (``replans_remaining`` exhausted) or when a

@@ -89,7 +89,7 @@ class Parser:
         if token.kind != "NUMBER":
             raise SqlSyntaxError(f"expected number, found {token.value!r}", token.position)
         self._advance()
-        return _to_number(token.value)
+        return _to_number(token)
 
     # -- entry points -------------------------------------------------------
 
@@ -552,7 +552,7 @@ class Parser:
         token = self._current
         if token.kind == "NUMBER":
             self._advance()
-            return ast.Literal(_to_number(token.value))
+            return ast.Literal(_to_number(token))
         if token.kind == "STRING":
             self._advance()
             return ast.Literal(token.value)
@@ -643,10 +643,14 @@ class Parser:
         return expr.value
 
 
-def _to_number(text: str) -> int | float:
-    if "." in text or "e" in text or "E" in text:
-        return float(text)
-    return int(text)
+def _to_number(token: Token) -> int | float:
+    text = token.value
+    try:
+        if "." in text or "e" in text or "E" in text:
+            return float(text)
+        return int(text)
+    except ValueError:
+        raise SqlSyntaxError(f"malformed number {text!r}", token.position) from None
 
 
 def parse(sql: str) -> ast.Statement:

@@ -15,14 +15,9 @@ interpreted by walking the AST per row.
 
 Rows are dictionaries keyed by qualified column names (``alias.column``).
 
-**Adaptivity:** streaming operators never know their final row count, so
-the engine's one natural materialisation point — the build side of a
-hash join in :func:`_iter_join` — doubles as its mid-query
-re-optimization checkpoint: the materialised build cardinality is
-reported to :func:`repro.sql.feedback.observe_actual`, which records it
-in the feedback store and raises
-:class:`~repro.sql.feedback.ReplanSignal` on a >10× estimate blow-out
-(see ``docs/OPTIMIZER.md``).
+No front door runs this engine: it is the E6 baseline and the
+engine-agreement reference, so query budgets and adaptive re-planning
+live only in the vectorised engine (``docs/OPTIMIZER.md``).
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ import numpy as np
 from repro.columnstore.table import ColumnTable
 from repro.errors import ExpressionError, PlanError
 from repro.sql import ast
-from repro.sql import feedback as fb
 from repro.sql.context import ExecutionContext
 from repro.sql.planner import (
     AggregateNode,
@@ -237,20 +231,15 @@ def _iter_scan(node: ScanNode, context: ExecutionContext) -> Iterator[Row]:
     if not node.table:
         yield {}
         return
-    governor = context.governor
     table = context.database.catalog.table(node.table)
     if isinstance(table, ColumnTable):
         for partition in table.partitions:
-            if governor is not None and governor.should_stop:
-                return
             positions = partition.visible_positions(context.snapshot_cid, context.own_tid)
             columns = {
                 name.lower(): partition.values_at(name, positions)
                 for name in node.columns
             }
             for index in range(len(positions)):
-                if governor is not None and governor.should_stop:
-                    return
                 row = {
                     f"{node.alias}.{name}": values[index]
                     for name, values in columns.items()
@@ -260,8 +249,6 @@ def _iter_scan(node: ScanNode, context: ExecutionContext) -> Iterator[Row]:
     else:
         names = [name.lower() for name in table.schema.column_names]
         for values in table.scan(context.snapshot_cid, context.own_tid):
-            if governor is not None and governor.should_stop:
-                return
             row = {f"{node.alias}.{name}": value for name, value in zip(names, values)}
             if node.predicate is None or bool(eval_row(node.predicate, row, context)):
                 yield row
@@ -269,13 +256,6 @@ def _iter_scan(node: ScanNode, context: ExecutionContext) -> Iterator[Row]:
 
 def _iter_join(node: JoinNode, context: ExecutionContext) -> Iterator[Row]:
     right_rows = list(_iter_node(node.right, context))
-    # the build side is fully materialised here — the volcano engine's
-    # checkpoint for feedback recording and mid-query re-optimization.
-    # A latched governor means the build may be truncated: a degraded
-    # count must not be recorded as a true observed cardinality.
-    governor = context.governor
-    if governor is None or not governor.should_stop:
-        fb.observe_actual(node.right, len(right_rows), context)
     if node.kind == "cross" and not node.equi:
         for left_row in _iter_node(node.left, context):
             for right_row in right_rows:
@@ -396,33 +376,8 @@ def _finalise(state: Any, call: ast.FunctionCall) -> Any:
 
 
 def execute_volcano(plan: QueryPlan, context: ExecutionContext) -> list[list[Any]]:
-    """Run a plan tuple-at-a-time; returns output rows.
-
-    When the context carries a :class:`~repro.qos.governor.ResourceGovernor`,
-    each yielded row is charged against the query budget — a latched soft
-    limit stops the iteration (partial, ``degraded`` answer); a hard limit
-    raises :class:`~repro.errors.BudgetExceededError` from ``charge()``.
-    """
-    governor = context.governor
-    rows = []
-    for row in _iter_node(plan.root, context):
-        out = [row[name] for name in plan.output_names]
-        if governor is not None:
-            governor.charge(rows=1, bytes_=sum(_row_bytes(value) for value in out))
-            if governor.should_stop:
-                rows.append(out)
-                break
-        rows.append(out)
-    return rows
-
-
-def _row_bytes(value: Any) -> int:
-    """Cheap per-value size estimate for byte budgets (not sys.getsizeof —
-    deterministic across interpreter builds)."""
-    if value is None:
-        return 1
-    if isinstance(value, str):
-        return len(value)
-    if isinstance(value, (bytes, bytearray)):
-        return len(value)
-    return 8
+    """Run a plan tuple-at-a-time; returns output rows."""
+    return [
+        [row[name] for name in plan.output_names]
+        for row in _iter_node(plan.root, context)
+    ]

@@ -47,10 +47,10 @@ def test_delete_conflict(setup):
     table.insert([1, 1.0], txn)
     manager.commit(txn)
     first = manager.begin()
-    table.delete_at(0, first)
+    table.delete_at(0, 0, first)
     second = manager.begin()
     with pytest.raises(WriteConflictError):
-        table.delete_at(0, second)
+        table.delete_at(0, 0, second)
 
 
 def test_mvcc_isolation(setup):

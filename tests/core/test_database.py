@@ -102,6 +102,20 @@ def test_range_partitioned_table_via_sql_prunes():
     assert batch.rows() == [[4.0]]
     assert context.metrics["partitions_pruned"] == 2
 
+    # UPDATE and DELETE find their rows through the same pruning scan
+    from repro import obs
+
+    registry, _ = obs.enable()
+    assert db.execute("UPDATE events SET v = 0 WHERE y >= 2015").rowcount == 1
+    assert db.execute("DELETE FROM events WHERE y < 2013").rowcount == 1
+    # y >= 2015 skips two partitions; y < 2013 skips the one from 2015 on
+    assert registry.get("sql.executor.partitions_pruned", kind="range").value == 3
+    assert db.query("SELECT y, v FROM events ORDER BY y").rows == [
+        [2013, 2.0],
+        [2014, 3.0],
+        [2015, 0.0],
+    ]
+
 
 def test_session_default_parameters_flow_into_queries():
     from repro.core.session import Session

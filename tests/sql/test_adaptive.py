@@ -16,10 +16,6 @@ from repro import obs
 from repro.core.database import Database
 from repro.errors import BudgetExceededError
 from repro.qos import QueryBudget
-from repro.sql.feedback import ReplanSignal
-from repro.sql.parser import parse
-from repro.sql.planner import plan_select
-from repro.sql.volcano import execute_volcano
 
 #: a 2-conjunct equality predicate gets static selectivity 0.15 * 0.15,
 #: so a table where every row matches blows the estimate by ~44x
@@ -78,29 +74,6 @@ class TestMidQueryReoptimization:
         db.execute(BLOWOUT_SQL)
         assert registry.counter("sql.reopt.triggered").value == 1
         assert registry.counter("sql.reopt.replans").value == 1
-
-    def test_join_blowout_triggers_on_the_volcano_engine(self):
-        db = skewed_db()
-        db.execute("CREATE TABLE tiny (k INT)")
-        db.execute("INSERT INTO tiny VALUES (1), (2)")
-        plan = plan_select(
-            parse(
-                "SELECT COUNT(*) FROM tiny JOIN skewed ON tiny.k = skewed.a "
-                "WHERE skewed.a = 1 AND skewed.b = 2"
-            ),
-            db.catalog,
-            feedback=db.feedback,
-        )
-        context = db._context(None, None)
-        context.feedback = db.feedback
-        context.replans_remaining = 1
-        with pytest.raises(ReplanSignal):
-            execute_volcano(plan, context)
-        # the signal recorded the actual count into the store first
-        assert any(
-            value == pytest.approx(100.0)
-            for value in db.feedback.as_dict()["observed"].values()
-        )
 
 
 class TestFeedbackDrivenReordering:

@@ -148,3 +148,6 @@ def test_errors():
         parse("SELECT (SELECT 1)")
     with pytest.raises(SqlSyntaxError):
         parse_expression("a NOT = 1")
+    for malformed in ("SELECT 1e", "SELECT 2E+", "INSERT INTO t VALUES (2E, 'y')"):
+        with pytest.raises(SqlSyntaxError):
+            parse(malformed)

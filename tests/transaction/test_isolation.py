@@ -7,12 +7,20 @@ from repro.core.session import Session
 from repro.errors import InvalidTransactionStateError, WriteConflictError
 
 
-@pytest.fixture
-def db():
+#: write conflicts must be detected alike on both stores
+STORES = ["TABLE", "ROW TABLE"]
+
+
+def accounts_db(store: str = "TABLE") -> Database:
     database = Database()
-    database.execute("CREATE TABLE accounts (id INT PRIMARY KEY, balance DOUBLE)")
+    database.execute(f"CREATE {store} accounts (id INT PRIMARY KEY, balance DOUBLE)")
     database.execute("INSERT INTO accounts VALUES (1, 100.0), (2, 50.0)")
     return database
+
+
+@pytest.fixture
+def db():
+    return accounts_db()
 
 
 def test_repeatable_reads_within_transaction(db):
@@ -26,30 +34,58 @@ def test_repeatable_reads_within_transaction(db):
     assert db.query("SELECT SUM(balance) FROM accounts").scalar() == 175.0
 
 
-def test_write_conflict_on_same_row(db):
+# The two tests below loop over the stores rather than take a parameter,
+# which would change their ids.
+
+
+def test_write_conflict_on_same_row():
+    for store in STORES:
+        db = accounts_db(store)
+        s1 = Session(db)
+        s2 = Session(db)
+        s1.begin()
+        s2.begin()
+        s1.execute("UPDATE accounts SET balance = 0 WHERE id = 1")
+        with pytest.raises(WriteConflictError):
+            s2.execute("UPDATE accounts SET balance = 99 WHERE id = 1")
+        s1.commit()
+        s2.rollback()
+        assert db.query("SELECT balance FROM accounts WHERE id = 1").scalar() == 0
+
+
+def test_disjoint_writes_do_not_conflict():
+    for store in STORES:
+        db = accounts_db(store)
+        s1 = Session(db)
+        s2 = Session(db)
+        s1.begin()
+        s2.begin()
+        s1.execute("UPDATE accounts SET balance = 1 WHERE id = 1")
+        s2.execute("UPDATE accounts SET balance = 2 WHERE id = 2")
+        s1.commit()
+        s2.commit()
+        rows = db.query("SELECT balance FROM accounts ORDER BY id").rows
+        assert rows == [[1.0], [2.0]]
+
+
+@pytest.mark.parametrize("store", STORES)
+def test_delete_conflicts_with_concurrent_update(store):
+    db = accounts_db(store)
     s1 = Session(db)
     s2 = Session(db)
     s1.begin()
     s2.begin()
-    s1.execute("UPDATE accounts SET balance = 0 WHERE id = 1")
+    s1.execute("UPDATE accounts SET balance = balance * 2 WHERE balance > 60")
     with pytest.raises(WriteConflictError):
-        s2.execute("UPDATE accounts SET balance = 99 WHERE id = 1")
+        s2.execute("DELETE FROM accounts WHERE id = 1")
+    # the other row is free, and s1's new version is invisible to s2
+    assert s2.execute("DELETE FROM accounts WHERE id = 2").rowcount == 1
     s1.commit()
     s2.rollback()
-    assert db.query("SELECT balance FROM accounts WHERE id = 1").scalar() == 0
-
-
-def test_disjoint_writes_do_not_conflict(db):
-    s1 = Session(db)
-    s2 = Session(db)
-    s1.begin()
-    s2.begin()
-    s1.execute("UPDATE accounts SET balance = 1 WHERE id = 1")
-    s2.execute("UPDATE accounts SET balance = 2 WHERE id = 2")
-    s1.commit()
-    s2.commit()
-    rows = db.query("SELECT balance FROM accounts ORDER BY id").rows
-    assert rows == [[1.0], [2.0]]
+    assert db.query("SELECT id, balance FROM accounts ORDER BY id").rows == [
+        [1, 200.0],
+        [2, 50.0],
+    ]
 
 
 def test_atomicity_of_multi_statement_transaction(db):
