@@ -171,6 +171,10 @@ class TablePartition:
             delta = delta.astype(main.dtype)
         return np.concatenate([main, delta])
 
+    def column_at(self, name: str, positions: np.ndarray) -> np.ndarray:
+        """A column at the given positions, as an analysis array."""
+        return self.column_array(name)[positions]
+
     def values_at(self, name: str, positions: np.ndarray) -> list[Any]:
         """Exact Python values of a column at the given positions."""
         self._touch()

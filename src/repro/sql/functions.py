@@ -31,13 +31,26 @@ from repro.sql.context import ExecutionContext
 ScalarImpl = Callable[..., Any]
 
 
+#: Largest magnitude up to which every integer is exact as a float64.
+_EXACT_FLOAT_INT = 2**53
+
+
 def narrow_to_array(values: Sequence[Any]) -> np.ndarray:
-    """Pack Python values into the tightest supported array dtype."""
+    """Pack Python values into the tightest supported array dtype.
+
+    Integers mixed with NULLs or floats become float64 only while every
+    one of them is exact as a float; otherwise the array stays object.
+    """
     if all(isinstance(v, bool) for v in values):
         return np.asarray(values, dtype=bool)
     if all(isinstance(v, int) and not isinstance(v, bool) for v in values):
         return np.asarray(values, dtype=np.int64)
-    if all(v is None or isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+    if all(
+        v is None
+        or isinstance(v, float)
+        or isinstance(v, int) and not isinstance(v, bool) and abs(v) <= _EXACT_FLOAT_INT
+        for v in values
+    ):
         return np.asarray(
             [np.nan if v is None else float(v) for v in values], dtype=np.float64
         )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.database import Database
+from repro.core.session import Session
 from repro.engines.text.analysis import (
     EntityExtractor,
     NaiveBayesClassifier,
@@ -88,6 +89,23 @@ def test_create_text_index_maintains_on_dml():
     assert index.document_count == 3
     db.execute("DELETE FROM notes WHERE id = 1")
     assert db.query("SELECT id FROM notes WHERE CONTAINS(body, 'processing') ORDER BY id").rows == [[2], [3]]
+
+
+def test_contains_sees_the_transactions_own_writes():
+    db = Database()
+    db.execute("CREATE TABLE docs (id INT, body VARCHAR)")
+    db.execute("INSERT INTO docs VALUES (9, 'foo bar')")
+    create_text_index(db, "docs", "body")
+    session = Session(db)
+    session.begin()
+    # neither the inserted row nor the updated version is indexed before commit
+    session.execute("INSERT INTO docs VALUES (1, 'foo')")
+    session.execute("UPDATE docs SET id = 10 WHERE id = 9")
+    query = "SELECT id FROM docs WHERE CONTAINS(body, 'foo') ORDER BY id"
+    assert session.execute(query).rows == [[1], [10]]
+    assert session.execute("DELETE FROM docs WHERE CONTAINS(body, 'foo')").rowcount == 2
+    session.commit()
+    assert db.query("SELECT COUNT(*) FROM docs").scalar() == 0
 
 
 def test_create_text_index_validates(db=None):
