@@ -19,8 +19,6 @@ All encodings answer the same read API so the scan layer is agnostic:
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 #: Value id used for SQL NULL in encoded vectors.
@@ -219,11 +217,3 @@ def compression_report(encoded: EncodedVector) -> dict[str, float | str]:
         "compressed_bytes": float(encoded.memory_bytes()),
         "ratio": raw_bytes / max(encoded.memory_bytes(), 1),
     }
-
-
-def concat_decoded(parts: Iterable[EncodedVector]) -> np.ndarray:
-    """Decode and concatenate multiple encoded vectors."""
-    arrays = [part.decode() for part in parts]
-    if not arrays:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(arrays)

@@ -25,7 +25,6 @@ from repro.core.types import DataType
 from repro.errors import (
     ColumnNotFoundError,
     SchemaError,
-    StorageError,
     WriteConflictError,
 )
 from repro.transaction.manager import Transaction
@@ -148,11 +147,6 @@ class TablePartition:
         self._touch()
         mask = visible_mask(self.created.view(), self.deleted.view(), snapshot_cid, own_tid)
         return np.flatnonzero(mask)
-
-    def visible_row_mask(self, snapshot_cid: int, own_tid: int = 0) -> np.ndarray:
-        """Boolean visibility mask over all positions."""
-        self._touch()
-        return visible_mask(self.created.view(), self.deleted.view(), snapshot_cid, own_tid)
 
     def column_array(self, name: str) -> np.ndarray:
         """Decode a column (main + delta) to an analysis array."""
@@ -406,10 +400,3 @@ class ColumnTable:
             "flexible": self.flexible,
             "columns": len(self.schema.columns),
         }
-
-
-def require_table(obj: Any) -> ColumnTable:
-    """Assert-and-return helper for call sites holding catalog entries."""
-    if not isinstance(obj, ColumnTable):
-        raise StorageError(f"expected a ColumnTable, got {type(obj).__name__}")
-    return obj

@@ -64,10 +64,6 @@ class InvertedIndex:
         return len(self._doc_lengths)
 
     @property
-    def term_count(self) -> int:
-        return len(self._postings)
-
-    @property
     def average_length(self) -> float:
         return self._total_length / self.document_count if self.document_count else 0.0
 

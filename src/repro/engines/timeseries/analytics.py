@@ -5,7 +5,6 @@ adoption, comparison functions, correlation, transformations").
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -141,22 +140,3 @@ def anomalies(series: TimeSeries, window: int = 20, threshold: float = 3.0) -> l
         if abs(values[index] - float(np.mean(trailing))) > threshold * std:
             flagged.append(int(series.timestamps[index]))
     return flagged
-
-
-def seasonal_decompose_strength(series: TimeSeries, period: int) -> float:
-    """Crude seasonality strength in [0, 1]: 1 - var(residual)/var(detrended).
-
-    Good enough to verify synthetic seasonal workloads behave as intended.
-    """
-    if len(series) < 2 * period:
-        raise TimeSeriesError("series shorter than two periods")
-    values = series.values
-    detrended = values - np.convolve(values, np.ones(period) / period, mode="same")
-    seasonal = np.array(
-        [np.mean(detrended[phase::period]) for phase in range(period)]
-    )
-    residual = detrended - np.tile(seasonal, math.ceil(len(values) / period))[: len(values)]
-    detrended_var = float(np.var(detrended))
-    if detrended_var == 0.0:
-        return 0.0
-    return max(0.0, 1.0 - float(np.var(residual)) / detrended_var)

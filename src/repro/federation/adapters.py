@@ -27,22 +27,6 @@ _OPS = {
 }
 
 
-def _apply_filters(rows: list[list[Any]], schema: TableSchema, filters: list[FilterTriple]) -> list[list[Any]]:
-    if not filters:
-        return rows
-    checks = [
-        (schema.position(column), _OPS[op], value) for column, op, value in filters
-    ]
-    out = []
-    for row in rows:
-        if all(
-            row[position] is not None and compare(row[position], value)
-            for position, compare, value in checks
-        ):
-            out.append(row)
-    return out
-
-
 class HanaAdapter:
     """Another repro :class:`Database` instance as a remote source."""
 

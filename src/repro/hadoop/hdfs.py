@@ -205,9 +205,6 @@ class HdfsCluster:
     def kill_datanode(self, node_id: str) -> None:
         self.datanodes[node_id].alive = False
 
-    def revive_datanode(self, node_id: str) -> None:
-        self.datanodes[node_id].alive = True
-
     def re_replicate(self) -> int:
         """Restore the replication factor after datanode failures;
         returns blocks copied."""

@@ -249,9 +249,12 @@ class SimulatedCluster:
         return old
 
 
+def value_bytes(value: Any) -> int:
+    """Shipped size of one value: a string's length plus a terminator,
+    8 bytes for anything else. Every SOE transfer is sized by this rule."""
+    return len(value) + 1 if isinstance(value, str) else 8
+
+
 def approx_row_bytes(row: Any) -> int:
     """Rough serialised size of one row for transfer accounting."""
-    total = 2
-    for value in row:
-        total += len(value) + 1 if isinstance(value, str) else 8
-    return total
+    return 2 + sum(map(value_bytes, row))

@@ -2,22 +2,33 @@
 
 "During runtime the engine compiles the SQL statement into C code and
 translates it into an executable binary format" — the query services
-receive tasks and compile them before execution. Here each
-(filter, group-by, aggregates) task signature is turned into one fused
-Python loop, compiled once, and cached; subsequent tasks with the same
-signature reuse the binary (the cache is what makes repeated partition
-tasks cheap, mirroring the paper's compiled-plan reuse).
+receive tasks and compile them before execution. Here each task shape
+(columns, filter columns and ops, group-by, aggregates, probe column) is
+turned into one fused Python loop, compiled once, and cached; later tasks
+of the same shape reuse the binary whatever their filter constants (the
+cache is what makes repeated partition tasks cheap, mirroring the paper's
+compiled-plan reuse).
+
+The join probes run the same template: a kernel with a probe column looks
+each surviving row's key up in a shipped dim hash and folds the row once
+per match into the group that the matched payload names. This module is
+the only place that creates, folds, combines and finalises SOE aggregate
+states.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
+from repro.soe.cluster import value_bytes
 from repro.soe.partitions import PrepackagedPartition
 from repro.soe.tasks import AggregateSpec, Filter
 
 #: group key tuple -> list of aggregate states
 GroupStates = dict[tuple, list[Any]]
+
+#: join key -> payload tuples of the matching dim rows
+ProbeHash = dict[Any, list[tuple]]
 
 _KERNEL_CACHE: dict[tuple, Callable[..., GroupStates]] = {}
 
@@ -29,13 +40,54 @@ def _signature(
     filters: tuple[Filter, ...],
     group_by: tuple[str, ...],
     aggregates: tuple[AggregateSpec, ...],
+    probe_column: str | None,
 ) -> tuple:
+    # filter constants are read from ``_consts`` at run time, so they are
+    # not part of the kernel's shape
     return (
         columns,
-        tuple((f.column, f.op, repr(f.value)) for f in filters),
+        tuple((f.column, f.op) for f in filters),
         group_by,
         tuple((a.op, a.column) for a in aggregates),
+        probe_column,
     )
+
+
+def _state_source(aggregates: tuple[AggregateSpec, ...], pad: str) -> list[str]:
+    """Source that binds ``_st`` to group ``_k``'s states, creating them."""
+    inits = ", ".join(
+        "0" if a.op == "count" else "[0.0, 0]" if a.op == "avg" else "None"
+        for a in aggregates
+    )
+    return [
+        f"{pad}_st = _groups.get(_k)",
+        f"{pad}if _st is None:",
+        f"{pad}    _st = [{inits}]",
+        f"{pad}    _groups[_k] = _st",
+    ]
+
+
+def _fold_source(
+    aggregates: tuple[AggregateSpec, ...], value_of: dict[str, str], pad: str
+) -> list[str]:
+    """Source that folds the current row into ``_st``."""
+    lines: list[str] = []
+    for index, aggregate in enumerate(aggregates):
+        state = f"_st[{index}]"
+        if aggregate.column is None:  # count(*)
+            lines.append(f"{pad}{state} += 1")
+            continue
+        value = value_of[aggregate.column]
+        body = {
+            "count": [f"{state} += 1"],
+            "sum": [f"{state} = {value} if {state} is None else {state} + {value}"],
+            "avg": [f"{state}[0] += {value}", f"{state}[1] += 1"],
+            "min": [f"if {state} is None or {value} < {state}: {state} = {value}"],
+            "max": [f"if {state} is None or {value} > {state}: {state} = {value}"],
+        }[aggregate.op]
+        lines.append(f"{pad}if {value} is not None:")
+        lines.extend(f"{pad}    {statement}" for statement in body)
+    return lines
 
 
 def compile_aggregate_kernel(
@@ -43,81 +95,51 @@ def compile_aggregate_kernel(
     filters: tuple[Filter, ...],
     group_by: tuple[str, ...],
     aggregates: tuple[AggregateSpec, ...],
+    probe_column: str | None = None,
 ) -> Callable[..., GroupStates]:
     """Generate (or fetch) the fused partial-aggregation kernel.
 
-    The kernel signature is ``kernel(*column_lists, _consts, _groups)``:
-    it scans row-at-a-time over the supplied column lists, applies the
-    filters inline, and accumulates into ``_groups``.
+    The kernel signature is ``kernel(*column_lists, _consts, _groups,
+    _probe)``: it scans row-at-a-time over the supplied column lists,
+    applies the filters inline, and accumulates into ``_groups``. With a
+    ``probe_column`` each surviving row looks its value up in the
+    ``_probe`` hash and is folded once per match into the group that the
+    matched payload tuple names (``group_by`` is then unused); a row
+    without a match is dropped.
     """
-    signature = _signature(columns, filters, group_by, aggregates)
+    signature = _signature(columns, filters, group_by, aggregates, probe_column)
     cached = _KERNEL_CACHE.get(signature)
     if cached is not None:
         return cached
 
     variable_of = {name: f"c_{index}" for index, name in enumerate(columns)}
-    lines: list[str] = []
-    arg_list = ", ".join(variable_of[name] for name in columns)
-    lines.append(f"def _kernel({arg_list}, _consts, _groups):")
-    lines.append("    _n = len(%s)" % variable_of[columns[0]])
-    lines.append("    for _i in range(_n):")
-    # bind needed columns
-    needed = set(group_by)
-    needed.update(f.column for f in filters)
-    needed.update(a.column for a in aggregates if a.column is not None)
+    value_of = {name: f"v_{variable}" for name, variable in variable_of.items()}
+    lines = [
+        f"def _kernel({', '.join(variable_of.values())}, _consts, _groups, _probe):",
+        f"    for _i in range(len({variable_of[columns[0]]})):",
+    ]
+    needed = {probe_column, *group_by, *(f.column for f in filters)}
+    needed.update(a.column for a in aggregates)
     for name in columns:
         if name in needed:
-            lines.append(f"        v_{variable_of[name]} = {variable_of[name]}[_i]")
-    # inline filters
+            lines.append(f"        {value_of[name]} = {variable_of[name]}[_i]")
     for index, filter_spec in enumerate(filters):
-        variable = f"v_{variable_of[filter_spec.column]}"
+        value = value_of[filter_spec.column]
         op = _OPS[filter_spec.op]
-        lines.append(
-            f"        if {variable} is None or not ({variable} {op} _consts[{index}]):"
-        )
+        lines.append(f"        if {value} is None or not ({value} {op} _consts[{index}]):")
         lines.append("            continue")
-    # group key
-    if group_by:
-        key = ", ".join(f"v_{variable_of[name]}" for name in group_by)
-        lines.append(f"        _k = ({key},)")
+    if probe_column is None:
+        pad = " " * 8
+        key = ", ".join(value_of[name] for name in group_by)
+        lines.append(f"{pad}_k = ({key},)" if group_by else f"{pad}_k = ()")
     else:
-        lines.append("        _k = ()")
-    lines.append("        _st = _groups.get(_k)")
-    lines.append("        if _st is None:")
-    inits = []
-    for aggregate in aggregates:
-        if aggregate.op == "count":
-            inits.append("0")
-        elif aggregate.op == "avg":
-            inits.append("[0.0, 0]")
-        else:
-            inits.append("None")
-    lines.append(f"            _st = [{', '.join(inits)}]")
-    lines.append("            _groups[_k] = _st")
-    # accumulate
-    for index, aggregate in enumerate(aggregates):
-        if aggregate.op == "count" and aggregate.column is None:
-            lines.append(f"        _st[{index}] += 1")
-            continue
-        value = f"v_{variable_of[aggregate.column]}"
-        lines.append(f"        if {value} is not None:")
-        if aggregate.op == "count":
-            lines.append(f"            _st[{index}] += 1")
-        elif aggregate.op == "sum":
-            lines.append(
-                f"            _st[{index}] = {value} if _st[{index}] is None else _st[{index}] + {value}"
-            )
-        elif aggregate.op == "avg":
-            lines.append(f"            _st[{index}][0] += {value}")
-            lines.append(f"            _st[{index}][1] += 1")
-        elif aggregate.op == "min":
-            lines.append(
-                f"            if _st[{index}] is None or {value} < _st[{index}]: _st[{index}] = {value}"
-            )
-        elif aggregate.op == "max":
-            lines.append(
-                f"            if _st[{index}] is None or {value} > _st[{index}]: _st[{index}] = {value}"
-            )
+        pad = " " * 12
+        lines.append(f"        _ms = _probe.get({value_of[probe_column]})")
+        lines.append("        if not _ms:")
+        lines.append("            continue")
+        lines.append("        for _k in _ms:")
+    lines.extend(_state_source(aggregates, pad))
+    lines.extend(_fold_source(aggregates, value_of, pad))
     lines.append("    return _groups")
     source = "\n".join(lines)
     namespace: dict[str, Any] = {}
@@ -133,19 +155,25 @@ def run_partial_aggregate(
     filters: list[Filter],
     group_by: list[str],
     aggregates: list[AggregateSpec],
+    probe: tuple[str, ProbeHash] | None = None,
 ) -> GroupStates:
-    """Compile the task kernel and run it over the local partitions."""
+    """Compile the task kernel and run it over the local partitions.
+
+    ``probe`` is ``(fact key column, dim hash)`` for a join probe task;
+    each joined row is then grouped by the matched dim payload.
+    """
     groups: GroupStates = {}
     if not partitions:
         return groups
     columns = tuple(partitions[0].columns)
+    probe_column, probe_hash = probe if probe is not None else (None, None)
     kernel = compile_aggregate_kernel(
-        columns, tuple(filters), tuple(group_by), tuple(aggregates)
+        columns, tuple(filters), tuple(group_by), tuple(aggregates), probe_column
     )
     consts = [f.value for f in filters]
     for partition in partitions:
         column_lists = [partition.column_list(name) for name in columns]
-        kernel(*column_lists, consts, groups)
+        kernel(*column_lists, consts, groups, probe_hash)
     return groups
 
 
@@ -204,9 +232,7 @@ def finalize_groups(
 
 def estimate_states_bytes(groups: GroupStates) -> int:
     """Approximate shipped size of a partial-aggregate result."""
-    total = 0
-    for key, states in groups.items():
-        for part in key:
-            total += len(part) + 1 if isinstance(part, str) else 8
-        total += 16 * len(states)
-    return total
+    return sum(
+        sum(map(value_bytes, key)) + 16 * len(states)
+        for key, states in groups.items()
+    )

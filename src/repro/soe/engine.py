@@ -308,7 +308,7 @@ class SoeEngine:
         query = AggregateQuery(
             table=table.lower(),
             group_by=tuple(c.lower() for c in group_by),
-            aggregates=tuple(AggregateSpec(op, col) for op, col in aggregates),
+            aggregates=tuple(AggregateSpec(op, col and col.lower()) for op, col in aggregates),
             filters=tuple(Filter(*f) for f in filters),
             consistency=consistency,
         )
@@ -331,7 +331,7 @@ class SoeEngine:
             fact_key=fact_key.lower(),
             dim_key=dim_key.lower(),
             group_column=group_column.lower(),
-            aggregates=tuple(AggregateSpec(op, col) for op, col in aggregates),
+            aggregates=tuple(AggregateSpec(op, col and col.lower()) for op, col in aggregates),
             strategy=strategy,
             consistency=consistency,
         )

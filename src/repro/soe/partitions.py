@@ -13,6 +13,7 @@ payload. The SOE relaxes the core store's compression requirements
 
 from __future__ import annotations
 
+import zlib
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -120,23 +121,17 @@ def hash_partition_rows(
     table: str,
 ) -> list[PrepackagedPartition]:
     """Split rows into ``partition_count`` prepackaged hash partitions."""
-    import zlib
-
     partitions = [
         PrepackagedPartition(table, partition_id, columns)
         for partition_id in range(partition_count)
     ]
     for row in rows:
-        key = "\x1f".join(repr(row[position]) for position in key_positions)
-        bucket = zlib.crc32(key.encode("utf-8")) % partition_count
-        partitions[bucket].append_row(row)
+        partitions[route_row(row, key_positions, partition_count)].append_row(row)
     return partitions
 
 
 def route_row(row: Sequence[Any], key_positions: Sequence[int], partition_count: int) -> int:
-    """Partition ordinal for one row (must match hash_partition_rows)."""
-    import zlib
-
+    """Partition ordinal for one row: crc32 of its key values' reprs."""
     key = "\x1f".join(repr(row[position]) for position in key_positions)
     return zlib.crc32(key.encode("utf-8")) % partition_count
 

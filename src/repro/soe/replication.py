@@ -151,11 +151,6 @@ class DataNode:
                 raise SoeError(f"{self.node_id} owns nothing of {table!r}")
             return list(ownership[1]), ownership[2]
 
-    def applied_position(self) -> int:
-        """The log-apply cursor, read under the apply lock."""
-        with self._apply_lock:
-            return self.applied_lsn
-
     def snapshot_partition(
         self, table: str, partition_id: int
     ) -> tuple[PrepackagedPartition, int]:

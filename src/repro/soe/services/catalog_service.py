@@ -87,12 +87,6 @@ class CatalogService:
             if node_id not in nodes:
                 nodes.append(node_id)
 
-    def unplace_partition(self, table: str, partition_id: int, node_id: str) -> None:
-        with self._lock:
-            nodes = self._placement.get((table, partition_id), [])
-            if node_id in nodes:
-                nodes.remove(node_id)
-
     def swap_placement(
         self,
         table: str,

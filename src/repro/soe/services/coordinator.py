@@ -35,9 +35,9 @@ from repro.errors import (
     RetryableError,
     TransferDroppedError,
 )
-from repro.soe.cluster import SimulatedCluster
-from repro.soe.codegen import finalize_groups, merge_group_states
-from repro.soe.partitions import route_row
+from repro.soe.cluster import SimulatedCluster, value_bytes
+from repro.soe.codegen import finalize_groups, merge_group_states, run_partial_aggregate
+from repro.soe.partitions import PrepackagedPartition, route_row
 from repro.soe.services.catalog_service import CatalogService
 from repro.soe.services.query_service import QueryService
 from repro.soe.services.transaction_broker import TransactionBroker
@@ -461,7 +461,6 @@ class Coordinator:
                     "table": query.fact_table,
                     "partitions": partition_ids,
                     "fact_key": query.fact_key,
-                    "group_from_dim": 0,
                     "aggregates": list(query.aggregates),
                 },
                 [virtual_input.task_id],
@@ -522,10 +521,7 @@ class Coordinator:
                 for bucket, bucket_rows in enumerate(per_worker_rows):
                     if not bucket_rows:
                         continue
-                    payload = sum(
-                        sum(len(v) + 1 if isinstance(v, str) else 8 for v in row)
-                        for row in bucket_rows
-                    )
+                    payload = sum(sum(map(value_bytes, row)) for row in bucket_rows)
                     target_node = workers[bucket]
                     self._transfer(source_node, target_node, payload, cost)
                     for row in bucket_rows:
@@ -538,50 +534,29 @@ class Coordinator:
         fact_buckets = shuffle(query.fact_table, query.fact_key, fact_columns)
         dim_buckets = shuffle(query.dim_table, query.dim_key, dim_columns)
 
-        # local join + aggregate per worker bucket, merge at coordinator
+        # local join + aggregate per worker bucket: the task kernel probes the
+        # bucket's fact rows, in join-key order, against its dim rows. The
+        # shipped rows repeat a column that several aggregates read; the
+        # kernel's partition takes each column once.
+        kernel_columns = list(dict.fromkeys(fact_columns))
+        positions = [fact_columns.index(name) for name in kernel_columns]
         partials = []
-        for bucket_index in range(worker_count):
+        for bucket_index, worker in enumerate(workers):
             # availability seam: the bucket's worker must be reachable
-            self._service_for(workers[bucket_index])
-            groups: dict[tuple, list[Any]] = {}
-            dim_bucket = dim_buckets[bucket_index]
-            for key, fact_rows in fact_buckets[bucket_index].items():
-                dim_rows = dim_bucket.get(key)
-                if not dim_rows:
-                    continue
-                for dim_row in dim_rows:
-                    group_key = (dim_row[1],)
-                    for fact_row in fact_rows:
-                        states = groups.get(group_key)
-                        if states is None:
-                            states = [
-                                0 if a.op == "count" else [0.0, 0] if a.op == "avg" else None
-                                for a in query.aggregates
-                            ]
-                            groups[group_key] = states
-                        value_cursor = 1
-                        for index, aggregate in enumerate(query.aggregates):
-                            if aggregate.op == "count" and aggregate.column is None:
-                                states[index] += 1
-                                continue
-                            value = fact_row[value_cursor]
-                            value_cursor += 1
-                            if value is None:
-                                continue
-                            if aggregate.op == "sum":
-                                states[index] = value if states[index] is None else states[index] + value
-                            elif aggregate.op == "count":
-                                states[index] += 1
-                            elif aggregate.op == "avg":
-                                states[index][0] += value
-                                states[index][1] += 1
-                            elif aggregate.op == "min":
-                                states[index] = value if states[index] is None or value < states[index] else states[index]
-                            elif aggregate.op == "max":
-                                states[index] = value if states[index] is None or value > states[index] else states[index]
+            self._service_for(worker)
+            fact_rows = PrepackagedPartition(query.fact_table, bucket_index, kernel_columns)
+            for rows in fact_buckets[bucket_index].values():
+                fact_rows.append_rows([[row[p] for p in positions] for row in rows])
+            dim_hash = {
+                key: [row[1:] for row in rows]
+                for key, rows in dim_buckets[bucket_index].items()
+            }
+            groups = run_partial_aggregate(
+                [fact_rows], [], [], list(query.aggregates), (query.fact_key, dim_hash)
+            )
             partials.append(groups)
             payload = QueryService.result_bytes(groups)
-            self._transfer(workers[bucket_index], self.node_id, payload, cost)
+            self._transfer(worker, self.node_id, payload, cost)
         merged = merge_group_states(partials, list(query.aggregates))
         return finalize_groups(merged, list(query.aggregates))
 
@@ -609,7 +584,6 @@ class Coordinator:
                     "table": query.fact_table,
                     "partitions": partition_ids,
                     "fact_key": query.fact_key,
-                    "group_from_dim": 0,
                     "aggregates": list(query.aggregates),
                 },
                 [build.task_id],

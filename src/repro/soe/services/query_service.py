@@ -3,7 +3,10 @@
 "At the core is the SAP HANA SOE local query processing executable (v2lqp)
 which contains a query and a data service." The query service executes
 coordinator tasks against the node-local prepackaged partitions, compiling
-each task's kernel first (see :mod:`repro.soe.codegen`); the data service
+each task's kernel first (see :mod:`repro.soe.codegen`): partial
+aggregates and join probes run the same compiled kernel, a probe with the
+shipped dim hash as its input, so this service holds no aggregate-state
+code of its own. The data service
 (:class:`~repro.soe.replication.DataNode`) owns the partitions and applies
 the shared log.
 
@@ -23,8 +26,10 @@ from typing import Any
 
 from repro import obs
 from repro.errors import CoordinationError
+from repro.soe.cluster import value_bytes
 from repro.soe.codegen import (
     GroupStates,
+    ProbeHash,
     estimate_states_bytes,
     run_partial_aggregate,
 )
@@ -58,7 +63,10 @@ class QueryService:
                 if task.kind == "build_hash":
                     return self._build_hash(task)
                 if task.kind == "join_partial":
-                    return self._join_partial(task, inputs)
+                    # the broadcast / co-located probe: the fact partitions
+                    # against the dim hash shipped in as the task's input
+                    probe = (task.params["fact_key"], inputs[task.inputs[0]])
+                    return self._partial_aggregate(task, probe)
                 if task.kind == "scan_ship":
                     return self._scan_ship(task)
                 raise CoordinationError(
@@ -71,7 +79,11 @@ class QueryService:
         store = self.data_node.store
         return [store.partition(table, pid) for pid in partition_ids]
 
-    def _partial_aggregate(self, task: Task) -> GroupStates:
+    def _partial_aggregate(
+        self, task: Task, probe: tuple[str, ProbeHash] | None = None
+    ) -> GroupStates:
+        """Run the compiled task kernel over the local partitions; a join
+        probe passes ``(fact key column, shipped dim hash)``."""
         params = task.params
         partitions = self._local_partitions(params["table"], params["partitions"])
         self.rows_processed += sum(len(p) for p in partitions)
@@ -80,6 +92,7 @@ class QueryService:
             [Filter(*f) if not isinstance(f, Filter) else f for f in params.get("filters", [])],
             list(params.get("group_by", [])),
             [AggregateSpec(*a) if not isinstance(a, AggregateSpec) else a for a in params["aggregates"]],
+            probe,
         )
 
     def _build_hash(self, task: Task) -> dict[Any, list[tuple]]:
@@ -102,57 +115,6 @@ class QueryService:
                 )
         return table_hash
 
-    def _join_partial(self, task: Task, inputs: dict[int, Any]) -> GroupStates:
-        """Probe local fact partitions against a shipped hash table, then
-        aggregate — the broadcast-join inner task."""
-        params = task.params
-        hash_input = inputs[task.inputs[0]]
-        partitions = self._local_partitions(params["table"], params["partitions"])
-        group_source = params["group_from_dim"]     # index into dim payload
-        fact_key = params["fact_key"]
-        agg_specs = [AggregateSpec(*a) if not isinstance(a, AggregateSpec) else a for a in params["aggregates"]]
-        value_columns = [a.column for a in agg_specs]
-        groups: GroupStates = {}
-        for partition in partitions:
-            self.rows_processed += len(partition)
-            key_pos = partition.columns.index(fact_key.lower())
-            value_pos = [
-                partition.columns.index(c.lower()) if c is not None else None
-                for c in value_columns
-            ]
-            for row in partition.rows():
-                matches = hash_input.get(row[key_pos])
-                if not matches:
-                    continue
-                for dim_payload in matches:
-                    key = (dim_payload[group_source],)
-                    states = groups.get(key)
-                    if states is None:
-                        states = [
-                            0 if a.op == "count" else [0.0, 0] if a.op == "avg" else None
-                            for a in agg_specs
-                        ]
-                        groups[key] = states
-                    for index, aggregate in enumerate(agg_specs):
-                        if aggregate.op == "count" and aggregate.column is None:
-                            states[index] += 1
-                            continue
-                        value = row[value_pos[index]]
-                        if value is None:
-                            continue
-                        if aggregate.op == "count":
-                            states[index] += 1
-                        elif aggregate.op == "sum":
-                            states[index] = value if states[index] is None else states[index] + value
-                        elif aggregate.op == "avg":
-                            states[index][0] += value
-                            states[index][1] += 1
-                        elif aggregate.op == "min":
-                            states[index] = value if states[index] is None or value < states[index] else states[index]
-                        elif aggregate.op == "max":
-                            states[index] = value if states[index] is None or value > states[index] else states[index]
-        return groups
-
     def _scan_ship(self, task: Task) -> list[tuple]:
         """Project local rows for repartitioning (ships whole tuples)."""
         params = task.params
@@ -174,18 +136,11 @@ class QueryService:
             first = next(iter(result.values()), None)
             if isinstance(first, list) and first and isinstance(first[0], tuple):
                 # hash table: key -> payload tuples
-                total = 0
-                for key, rows in result.items():
-                    total += len(key) + 1 if isinstance(key, str) else 8
-                    for row in rows:
-                        total += sum(
-                            len(v) + 1 if isinstance(v, str) else 8 for v in row
-                        )
-                return total
+                return sum(
+                    value_bytes(key) + sum(sum(map(value_bytes, row)) for row in rows)
+                    for key, rows in result.items()
+                )
             return estimate_states_bytes(result)
         if isinstance(result, list):
-            total = 0
-            for row in result:
-                total += sum(len(v) + 1 if isinstance(v, str) else 8 for v in row)
-            return total
+            return sum(sum(map(value_bytes, row)) for row in result)
         return 64

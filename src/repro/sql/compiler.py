@@ -456,9 +456,6 @@ class _PlanCompiler:
         merged.update(right_env)
         return merged
 
-    def _agg_states(self, aggregate: AggregateNode) -> list[tuple[ast.FunctionCall, str]]:
-        return list(aggregate.aggregates)
-
     def _emit_accumulate(self, aggregate: AggregateNode, expr_compiler: _ExprCompiler) -> None:
         emitter = self.emitter
         key_parts = ", ".join(expr_compiler.compile(expr) for expr, _n in aggregate.group)
@@ -599,8 +596,3 @@ class _PlanCompiler:
             start = limit.offset or 0
             stop = start + limit.limit if limit.limit is not None else None
             emitter.emit(f"_out = _out[{start}:{stop if stop is not None else ''}]")
-
-
-def execute_compiled(plan: QueryPlan, context: ExecutionContext) -> list[list[Any]]:
-    """Compile and run in one step."""
-    return compile_plan(plan, context).run(context)

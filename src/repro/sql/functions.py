@@ -98,9 +98,6 @@ class FunctionRegistry:
             "null_propagates": null_propagates,
         }
 
-    def is_registered(self, name: str) -> bool:
-        return name.upper() in self._functions
-
     def call(
         self,
         name: str,

@@ -821,38 +821,46 @@ def _rewrite(expr: ast.Expr | None, mapping: dict[str, ast.Expr]) -> ast.Expr | 
     return expr
 
 
+def describe_node(node: PlanNode) -> str:
+    """A one-line operator label, shared by :func:`explain` and the
+    profiler's operator tree."""
+    if isinstance(node, ScanNode):
+        label = f"Scan {node.table} as {node.alias}" if node.table else "Scan <virtual row>"
+        if node.predicate is not None:
+            label += f" filter={node.predicate}"
+        return label
+    if isinstance(node, SubqueryScanNode):
+        return f"SubqueryScan as {node.alias}"
+    if isinstance(node, FilterNode):
+        return f"Filter {node.predicate}"
+    if isinstance(node, JoinNode):
+        keys = ", ".join(f"{l}={r}" for l, r in node.equi)
+        return f"Join[{node.kind}] {keys}".rstrip()
+    if isinstance(node, AggregateNode):
+        groups = ", ".join(name for _, name in node.group)
+        aggs = ", ".join(str(call) for call, _ in node.aggregates)
+        return f"Aggregate group=[{groups}] aggs=[{aggs}]"
+    if isinstance(node, ProjectNode):
+        names = ", ".join(name for _, name in node.items)
+        return f"Project [{names}]"
+    if isinstance(node, SortNode):
+        keys = ", ".join(f"{name} {'ASC' if asc else 'DESC'}" for name, asc in node.keys)
+        return f"Sort [{keys}]"
+    if isinstance(node, DistinctNode):
+        return "Distinct"
+    if isinstance(node, LimitNode):
+        return f"Limit {node.limit} offset {node.offset}"
+    if isinstance(node, UnionNode):
+        return f"Union[{'distinct' if node.distinct else 'all'}]"
+    return type(node).__name__
+
+
 def explain(plan: QueryPlan) -> str:
     """Readable plan tree for debugging and tests."""
     lines: list[str] = []
 
     def visit(node: PlanNode, depth: int) -> None:
-        indent = "  " * depth
-        if isinstance(node, ScanNode):
-            extra = f" filter={node.predicate}" if node.predicate is not None else ""
-            lines.append(f"{indent}Scan {node.table} as {node.alias}{extra}")
-        elif isinstance(node, SubqueryScanNode):
-            lines.append(f"{indent}SubqueryScan as {node.alias}")
-        elif isinstance(node, FilterNode):
-            lines.append(f"{indent}Filter {node.predicate}")
-        elif isinstance(node, JoinNode):
-            keys = ", ".join(f"{l}={r}" for l, r in node.equi)
-            lines.append(f"{indent}Join[{node.kind}] {keys}")
-        elif isinstance(node, AggregateNode):
-            groups = ", ".join(name for _, name in node.group)
-            aggs = ", ".join(str(call) for call, _ in node.aggregates)
-            lines.append(f"{indent}Aggregate group=[{groups}] aggs=[{aggs}]")
-        elif isinstance(node, ProjectNode):
-            names = ", ".join(name for _, name in node.items)
-            lines.append(f"{indent}Project [{names}]")
-        elif isinstance(node, SortNode):
-            keys = ", ".join(f"{name} {'ASC' if asc else 'DESC'}" for name, asc in node.keys)
-            lines.append(f"{indent}Sort [{keys}]")
-        elif isinstance(node, DistinctNode):
-            lines.append(f"{indent}Distinct")
-        elif isinstance(node, LimitNode):
-            lines.append(f"{indent}Limit {node.limit} offset {node.offset}")
-        else:
-            lines.append(f"{indent}{type(node).__name__}")
+        lines.append("  " * depth + describe_node(node))
         for child in node.children():
             visit(child, depth + 1)
 

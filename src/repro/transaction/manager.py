@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.analysis.racecheck import track_fields
-from repro.errors import InvalidTransactionStateError, TransactionAbortedError
+from repro.errors import InvalidTransactionStateError
 from repro.transaction.mvcc import INF_CID, uncommitted_stamp
 
 
@@ -184,11 +184,6 @@ class TransactionManager:
         with self._commit_lock:
             self._active.pop(txn.tid, None)
             self.aborts += 1
-
-    def abort_with(self, txn: Transaction, reason: str) -> TransactionAbortedError:
-        """Roll back and return an exception describing the abort."""
-        self.rollback(txn)
-        return TransactionAbortedError(reason)
 
     @property
     def active_count(self) -> int:

@@ -50,6 +50,30 @@ def test_kernel_cache_reuses_compiled_function():
     assert "def _kernel" in first.generated_source
 
 
+def test_kernel_cache_keys_on_shape_not_constants():
+    columns, group_by = ("g", "v"), ("g",)
+    aggregates = (AggregateSpec("sum", "v"),)
+    first = compile_aggregate_kernel(columns, (Filter("v", ">", 1),), group_by, aggregates)
+    second = compile_aggregate_kernel(columns, (Filter("v", ">", 2),), group_by, aggregates)
+    assert first is second
+
+
+def test_probe_folds_each_match_into_the_payload_group():
+    partition = PrepackagedPartition("fact", 0, ["k", "v"])
+    partition.append_rows([[1, 2.0], [2, 5.0], [1, None], [None, 7.0], [3, 1.0]])
+    dim_hash = {1: [("x",), ("y",)], 2: [("x",)]}
+    groups = run_partial_aggregate(
+        [partition],
+        [],
+        [],
+        [AggregateSpec("count"), AggregateSpec("sum", "v")],
+        probe=("k", dim_hash),
+    )
+    # key 1 matches twice, so its rows count in both groups; keys 3 and
+    # NULL have no match and drop out
+    assert groups == {("x",): [3, 7.0], ("y",): [2, 2.0]}
+
+
 def test_merge_group_states_all_ops():
     aggregates = [
         AggregateSpec("count"),

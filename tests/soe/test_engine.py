@@ -27,6 +27,12 @@ def test_filtered_aggregate(small_soe):
     assert rows[0][0] == 300
 
 
+def test_column_names_are_case_insensitive(small_soe):
+    lower, _ = small_soe.aggregate("readings", ["region"], [("sum", "value")])
+    upper, _ = small_soe.aggregate("READINGS", ["REGION"], [("sum", "VALUE")])
+    assert upper == lower
+
+
 def test_insert_visibility_eventual_vs_strong(small_soe):
     before, _ = small_soe.aggregate("readings", aggregates=[("count", None)])
     small_soe.insert("readings", [[10_000, "r0", 1.0]])
@@ -67,6 +73,55 @@ def test_join_strategies_agree():
         results[strategy] = sorted(map(tuple, rows))
         assert cost.strategy == strategy
     assert results["broadcast"] == results["repartition"] == results["colocated"]
+
+
+def test_join_strategies_agree_on_every_aggregate():
+    soe = SoeEngine(node_count=3)
+    # co-partitioned on the join key, so the colocated plan is valid
+    soe.create_table("fact", ["k", "v"], ["k"], partition_count=6)
+    soe.create_table("dim", ["k", "grp"], ["k"], partition_count=6)
+    soe.load(
+        "fact",
+        [
+            [None if i % 11 == 0 else i % 20, None if i % 7 == 0 else float(i)]
+            for i in range(400)
+        ],
+    )
+    # NULL group values for keys 0, 5, 10, 15; key 3 appears twice
+    soe.load(
+        "dim",
+        [[i, None if i % 5 == 0 else f"g{i % 4}"] for i in range(20)] + [[3, "g9"]],
+    )
+    aggregates = [
+        ("count", None),
+        ("count", "v"),
+        ("sum", "v"),
+        ("avg", "v"),
+        ("min", "v"),
+        ("max", "v"),
+    ]
+    results = {}
+    for strategy in ("broadcast", "repartition", "colocated"):
+        rows, _cost = soe.join(
+            "fact", "dim", "k", "k", "grp", aggregates, strategy=strategy
+        )
+        results[strategy] = sorted(map(tuple, rows), key=repr)
+    assert results["broadcast"] == results["repartition"] == results["colocated"]
+    by_group = {row[0]: row for row in results["broadcast"]}
+    assert set(by_group) == {None, "g0", "g1", "g2", "g3", "g9"}
+    assert by_group["g9"][1] == 20 - sum(1 for i in range(3, 400, 20) if i % 11 == 0)
+
+
+def test_join_aggregate_columns_are_case_insensitive():
+    soe = SoeEngine(node_count=2)
+    soe.create_table("fact", ["k", "v"], ["k"], partition_count=4)
+    soe.create_table("dim", ["k", "grp"], ["k"], partition_count=4)
+    soe.load("fact", [[i % 4, float(i)] for i in range(40)])
+    soe.load("dim", [[i, f"g{i % 2}"] for i in range(4)])
+    for strategy in ("broadcast", "repartition", "colocated"):
+        lower, _ = soe.join("fact", "dim", "k", "k", "grp", [("max", "v")], strategy=strategy)
+        upper, _ = soe.join("FACT", "DIM", "K", "K", "GRP", [("max", "V")], strategy=strategy)
+        assert upper == lower == [["g0", 38.0], ["g1", 39.0]]
 
 
 def test_communication_costs_order_by_strategy():

@@ -130,3 +130,9 @@ def test_explain_renders_tree(catalog):
     assert "Scan t" in rendered
     assert "Aggregate" in rendered
     assert "Project" in rendered
+
+
+def test_explain_labels_match_profiler(catalog):
+    union = explain(plan_of("SELECT a FROM t UNION ALL SELECT a FROM s", catalog))
+    assert "Union[all]" in union
+    assert "Scan <virtual row>" in explain(plan_of("SELECT 1 AS x", catalog))
