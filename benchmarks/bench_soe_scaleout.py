@@ -9,7 +9,7 @@ Measured shape: (a) per-node work for a partitioned aggregation drops
 near-linearly with the node count (the simulated-cluster equivalent of
 speedup); (b) the communication volume ranking of the three join
 strategies: co-located < broadcast < repartition for a large fact table
-and small dimension table.
+and small dimension table, each pinned to its exact bytes and messages.
 """
 
 from __future__ import annotations
@@ -20,6 +20,14 @@ from repro.soe.engine import SoeEngine
 
 FACT_ROWS = 30_000
 DIM_ROWS = 64
+
+#: (bytes shipped, messages) per join strategy on the 4-node landscape,
+#: the traffic EXPERIMENTS.md records: any plan change that moves it fails
+TRAFFIC = {
+    "broadcast": (3_824, 12),
+    "repartition": (355_440, 16),
+    "colocated": (304, 4),
+}
 
 
 def build(nodes: int, fact_key: str = "id") -> SoeEngine:
@@ -78,6 +86,7 @@ def test_join_strategy_costs(benchmark, reporter, strategy):
         simulated_network_seconds=round(cost.simulated_network_seconds, 6),
     )
     assert len(rows) == 4
+    assert (cost.bytes_shipped, cost.messages) == TRAFFIC[strategy]
 
 
 @pytest.mark.benchmark(group="E7-join-strategies")
@@ -98,6 +107,7 @@ def test_join_colocated_cost(benchmark, reporter):
         messages=cost.messages,
     )
     assert len(rows) == 4
+    assert (cost.bytes_shipped, cost.messages) == TRAFFIC["colocated"]
 
 
 def test_strategy_cost_ordering(benchmark, reporter):

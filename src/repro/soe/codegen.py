@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 from repro.soe.cluster import value_bytes
 from repro.soe.partitions import PrepackagedPartition
-from repro.soe.tasks import AggregateSpec, Filter
+from repro.soe.tasks import FILTER_OPS, AggregateSpec, Filter
 
 #: group key tuple -> list of aggregate states
 GroupStates = dict[tuple, list[Any]]
@@ -31,8 +31,6 @@ GroupStates = dict[tuple, list[Any]]
 ProbeHash = dict[Any, list[tuple]]
 
 _KERNEL_CACHE: dict[tuple, Callable[..., GroupStates]] = {}
-
-_OPS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
 def _signature(
@@ -125,7 +123,7 @@ def compile_aggregate_kernel(
             lines.append(f"        {value_of[name]} = {variable_of[name]}[_i]")
     for index, filter_spec in enumerate(filters):
         value = value_of[filter_spec.column]
-        op = _OPS[filter_spec.op]
+        op = FILTER_OPS[filter_spec.op]
         lines.append(f"        if {value} is None or not ({value} {op} _consts[{index}]):")
         lines.append("            continue")
     if probe_column is None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.errors import SoeError
+from repro.errors import ColumnNotFoundError, SoeError
 from repro.soe.cluster import NetworkModel, SimulatedCluster
 from repro.soe.partitions import hash_partition_rows
 from repro.soe.replication import DataNode, make_delete, make_insert
@@ -305,11 +305,12 @@ class SoeEngine:
         filters: Sequence[tuple[str, str, Any]] = (),
         consistency: str = "eventual",
     ) -> tuple[list[list[Any]], PlanCost]:
+        meta = self.catalog.table(table.lower())
         query = AggregateQuery(
-            table=table.lower(),
-            group_by=tuple(c.lower() for c in group_by),
-            aggregates=tuple(AggregateSpec(op, col and col.lower()) for op, col in aggregates),
-            filters=tuple(Filter(*f) for f in filters),
+            table=meta.name,
+            group_by=tuple(_column(meta, c) for c in group_by),
+            aggregates=tuple(AggregateSpec(op, col and _column(meta, col)) for op, col in aggregates),
+            filters=tuple(Filter(_column(meta, c), op, value) for c, op, value in filters),
             consistency=consistency,
         )
         return self.coordinator.run_aggregate(query)
@@ -325,13 +326,15 @@ class SoeEngine:
         strategy: str = "auto",
         consistency: str = "eventual",
     ) -> tuple[list[list[Any]], PlanCost]:
+        fact = self.catalog.table(fact_table.lower())
+        dim = self.catalog.table(dim_table.lower())
         query = JoinQuery(
-            fact_table=fact_table.lower(),
-            dim_table=dim_table.lower(),
-            fact_key=fact_key.lower(),
-            dim_key=dim_key.lower(),
-            group_column=group_column.lower(),
-            aggregates=tuple(AggregateSpec(op, col and col.lower()) for op, col in aggregates),
+            fact_table=fact.name,
+            dim_table=dim.name,
+            fact_key=_column(fact, fact_key),
+            dim_key=_column(dim, dim_key),
+            group_column=_column(dim, group_column),
+            aggregates=tuple(AggregateSpec(op, col and _column(fact, col)) for op, col in aggregates),
             strategy=strategy,
             consistency=consistency,
         )
@@ -386,3 +389,11 @@ class SoeEngine:
                 node_id: node.staleness() for node_id, node in self.data_nodes.items()
             },
         }
+
+
+def _column(meta: SoeTableMeta, name: str) -> str:
+    """The table's column called ``name``, matched case-insensitively."""
+    column = name.lower()
+    if column not in meta.columns:
+        raise ColumnNotFoundError(meta.name, name)
+    return column

@@ -4,15 +4,17 @@
 a client's aggregate/join query arrives here, becomes a task DAG, and
 fans out to the v2lqp query services before partial results merge back.
 
-Translates a query into a task DAG (see :mod:`repro.soe.tasks`), dispatches
-tasks to the query services hosting the partitions, charges every
-cross-node result transfer to the cluster's network model, and merges the
-partial results. "These plans can lead to strong speedup results compared
-to single machine execution ... if the plans are specifically tailored for
-a clustered execution in combination with efficient communication
-algorithms" [13] — hence the three join strategies (broadcast,
-repartition, co-located) whose communication volumes benchmark E7
-compares.
+Translates every query into one task DAG (see :mod:`repro.soe.tasks`) that
+:meth:`Coordinator._run_dag` runs: it dispatches each task to the query
+service on its node and charges each cross-node input transfer to the
+cluster's network model. The coordinator itself builds no hash, routes no
+row and runs no kernel; its only local tasks are the broadcast ``collect``
+and the final ``merge_aggregate`` of the partial states. "These plans can
+lead to strong speedup results compared to single machine execution ... if
+the plans are specifically tailored for a clustered execution in
+combination with efficient communication algorithms" [13] — hence the
+three join strategies (broadcast, repartition, co-located) whose
+communication volumes benchmark E7 compares.
 
 **Observability:** every distributed plan runs inside
 :meth:`Coordinator._plan`, the single place where ``PlanCost.wall_seconds``
@@ -32,12 +34,10 @@ from repro.errors import (
     CoordinationError,
     DeadlineExceededError,
     NodeUnavailableError,
-    RetryableError,
     TransferDroppedError,
 )
-from repro.soe.cluster import SimulatedCluster, value_bytes
-from repro.soe.codegen import finalize_groups, merge_group_states, run_partial_aggregate
-from repro.soe.partitions import PrepackagedPartition, route_row
+from repro.soe.cluster import SimulatedCluster
+from repro.soe.codegen import finalize_groups, merge_group_states
 from repro.soe.services.catalog_service import CatalogService
 from repro.soe.services.query_service import QueryService
 from repro.soe.services.transaction_broker import TransactionBroker
@@ -195,21 +195,16 @@ class Coordinator:
         transient failure. Re-running re-plans — :meth:`_assignments`
         recomputes against *current* liveness, so the retry lands on live
         replicas instead of the node that just died."""
-        last: RetryableError | None = None
-        for attempt, delay in self.retry_policy.schedule():
-            if attempt:
-                self._charge(delay)
-                cost.retries += 1
-                # each retry re-plans the strategy body against current
-                # liveness: a mid-query re-optimization in PlanCost terms
-                cost.reoptimizations += 1
-                obs.count("soe.coordinator.retries")
-            try:
-                return body()
-            except RetryableError as exc:
-                last = exc
-        assert last is not None
-        raise last
+
+        def on_retry(_attempt: int, _exc: Exception) -> None:
+            self._check_deadline()
+            cost.retries += 1
+            # each retry re-plans the strategy body against current
+            # liveness: a mid-query re-optimization in PlanCost terms
+            cost.reoptimizations += 1
+            obs.count("soe.coordinator.retries")
+
+        return self.retry_policy.call(body, clock=self.clock, on_retry=on_retry)
 
     def _transfer(
         self, source: str, target: str, payload_bytes: int, cost: PlanCost
@@ -317,23 +312,58 @@ class Coordinator:
                 service.data_node.catch_up(target)
 
     def _run_dag(self, dag: TaskDag, cost: PlanCost) -> dict[int, Any]:
+        """Run every task of a plan in dependency order: the one place
+        that dispatches tasks to query services and charges the transfer
+        of each input from its producer's node to its consumer's."""
         results: dict[int, Any] = {}
+        # a result sent to several consumers (the broadcast hash) is sized once
+        sizes: dict[int, int] = {}
         for task in dag.topological_order():
             inputs: dict[int, Any] = {}
             for input_id in task.inputs:
                 producer = dag.tasks[input_id]
                 result = results[input_id]
-                payload = QueryService.result_bytes(result)
-                self._transfer(producer.node_id, task.node_id, payload, cost)
+                if producer.kind == "scan_ship":
+                    # a shuffle edge carries only the consumer's bucket;
+                    # an empty bucket ships nothing
+                    result = result[task.params["bucket"]]
+                    if result:
+                        payload = QueryService.result_bytes(result)
+                        self._transfer(producer.node_id, task.node_id, payload, cost)
+                else:
+                    if input_id not in sizes:
+                        sizes[input_id] = QueryService.result_bytes(result)
+                    self._transfer(producer.node_id, task.node_id, sizes[input_id], cost)
                 inputs[input_id] = result
-            if task.kind in ("merge_aggregate", "collect"):
+            if task.kind == "merge_aggregate":
                 results[task.task_id] = [inputs[input_id] for input_id in task.inputs]
+            elif task.kind == "collect":
+                # the broadcast gather: one dim hash from the hosts' pieces
+                union: dict[Any, list[tuple]] = {}
+                for input_id in task.inputs:
+                    for key, rows in inputs[input_id].items():
+                        union.setdefault(key, []).extend(rows)
+                results[task.task_id] = union
             else:
                 results[task.task_id] = self._service_for(task.node_id).execute(
                     task, inputs
                 )
             cost.tasks += 1
         return results
+
+    def _merge(
+        self,
+        dag: TaskDag,
+        partial_ids: list[int],
+        aggregates: tuple[AggregateSpec, ...],
+        cost: PlanCost,
+    ) -> list[list[Any]]:
+        """Finish a plan: merge the partial states at the coordinator, run
+        the whole DAG, and finalise the merged groups into rows."""
+        merge = dag.add("merge_aggregate", self.node_id, {}, partial_ids)
+        results = self._run_dag(dag, cost)
+        merged = merge_group_states(results[merge.task_id], list(aggregates))
+        return finalize_groups(merged, list(aggregates))
 
     # -- aggregate queries -----------------------------------------------------------
 
@@ -348,22 +378,15 @@ class Coordinator:
         dag = TaskDag()
         partial_ids = []
         for node_id, partition_ids in self._assignments(query.table, cost).items():
-            task = dag.add(
-                "partial_aggregate",
-                node_id,
-                {
-                    "table": query.table,
-                    "partitions": partition_ids,
-                    "filters": list(query.filters),
-                    "group_by": list(query.group_by),
-                    "aggregates": list(query.aggregates),
-                },
-            )
-            partial_ids.append(task.task_id)
-        merge = dag.add("merge_aggregate", self.node_id, {}, partial_ids)
-        results = self._run_dag(dag, cost)
-        merged = merge_group_states(results[merge.task_id], list(query.aggregates))
-        return finalize_groups(merged, list(query.aggregates))
+            params = {
+                "table": query.table,
+                "partitions": partition_ids,
+                "filters": list(query.filters),
+                "group_by": list(query.group_by),
+                "aggregates": list(query.aggregates),
+            }
+            partial_ids.append(dag.add("partial_aggregate", node_id, params).task_id)
+        return self._merge(dag, partial_ids, query.aggregates, cost)
 
     # -- join queries ---------------------------------------------------------------------
 
@@ -419,177 +442,101 @@ class Coordinator:
             total += sum(len(store.partition(table, pid)) for pid in partition_ids)
         return total
 
-    def _dim_payload_columns(self, query: JoinQuery) -> list[str]:
-        return [query.group_column]
+    def _add_build_hash(
+        self, dag: TaskDag, node_id: str, partition_ids: list[int], query: JoinQuery
+    ) -> int:
+        """A task hashing dim partitions as join key → group column."""
+        params = {
+            "table": query.dim_table,
+            "partitions": partition_ids,
+            "key_column": query.dim_key,
+            "columns": [query.group_column],
+        }
+        return dag.add("build_hash", node_id, params).task_id
+
+    def _add_probe(
+        self,
+        dag: TaskDag,
+        node_id: str,
+        partition_ids: list[int],
+        query: JoinQuery,
+        hash_id: int,
+    ) -> int:
+        """A task probing fact partitions against task ``hash_id``'s dim hash."""
+        params = {
+            "table": query.fact_table,
+            "partitions": partition_ids,
+            "fact_key": query.fact_key,
+            "aggregates": list(query.aggregates),
+        }
+        return dag.add("join_partial", node_id, params, [hash_id]).task_id
 
     def _join_broadcast_body(self, query: JoinQuery, cost: PlanCost) -> list[list[Any]]:
-        """Gather the dim side once, broadcast it to every fact node."""
+        """Gather the dim hash at the coordinator, broadcast it to every
+        fact host and probe there."""
         dag = TaskDag()
-        # 1. hash-build tasks on the dim hosts
-        build_ids = []
-        for node_id, partition_ids in self._assignments(query.dim_table, cost).items():
-            task = dag.add(
-                "build_hash",
-                node_id,
-                {
-                    "table": query.dim_table,
-                    "partitions": partition_ids,
-                    "key_column": query.dim_key,
-                    "columns": self._dim_payload_columns(query),
-                },
-            )
-            build_ids.append(task.task_id)
-        # 2. gather at coordinator (transfers charged by the DAG runner)
-        gather = dag.add("collect", self.node_id, {}, build_ids)
-        results = self._run_dag(dag, cost)
-        full_hash: dict[Any, list[tuple]] = {}
-        for part in results[gather.task_id]:
-            for key, rows in part.items():
-                full_hash.setdefault(key, []).extend(rows)
-
-        # 3. broadcast + probe on each fact node
-        dag2 = TaskDag()
-        probe_ids = []
-        hash_bytes = QueryService.result_bytes(full_hash)
-        for node_id, partition_ids in self._assignments(query.fact_table, cost).items():
-            self._transfer(self.node_id, node_id, hash_bytes, cost)
-            virtual_input = dag2.add("collect", node_id, {})
-            probe = dag2.add(
-                "join_partial",
-                node_id,
-                {
-                    "table": query.fact_table,
-                    "partitions": partition_ids,
-                    "fact_key": query.fact_key,
-                    "aggregates": list(query.aggregates),
-                },
-                [virtual_input.task_id],
-            )
-            probe_ids.append(probe.task_id)
-        # pre-seed virtual inputs with the broadcast hash (no extra charge)
-        results2: dict[int, Any] = {}
-        for task in dag2.topological_order():
-            if task.kind == "collect" and not task.inputs:
-                results2[task.task_id] = full_hash
-                continue
-            inputs = {input_id: results2[input_id] for input_id in task.inputs}
-            results2[task.task_id] = self._service_for(task.node_id).execute(
-                task, inputs
-            )
-            cost.tasks += 1
-        partials = [results2[task_id] for task_id in probe_ids]
-        for task_id in probe_ids:
-            producer = dag2.tasks[task_id]
-            payload = QueryService.result_bytes(results2[task_id])
-            self._transfer(producer.node_id, self.node_id, payload, cost)
-        merged = merge_group_states(partials, list(query.aggregates))
-        return finalize_groups(merged, list(query.aggregates))
+        build_ids = [
+            self._add_build_hash(dag, node_id, partition_ids, query)
+            for node_id, partition_ids in self._assignments(query.dim_table, cost).items()
+        ]
+        gather = dag.add("collect", self.node_id, {}, build_ids).task_id
+        probe_ids = [
+            self._add_probe(dag, node_id, partition_ids, query, gather)
+            for node_id, partition_ids in self._assignments(query.fact_table, cost).items()
+        ]
+        return self._merge(dag, probe_ids, query.aggregates, cost)
 
     def _join_repartition_body(self, query: JoinQuery, cost: PlanCost) -> list[list[Any]]:
-        """Ship both sides hashed on the join key to worker nodes."""
-        if self.failover:
-            workers = [
-                node_id
-                for node_id in sorted(self.query_services)
-                if self.cluster.node(node_id).alive
-            ]
-        else:
-            workers = sorted(self.query_services)
+        """Ship both sides hashed on the join key to worker nodes, one
+        bucket per worker, and join each bucket on its worker."""
+        workers = [
+            node_id
+            for node_id in sorted(self.query_services)
+            if not self.failover or self.cluster.node(node_id).alive
+        ]
         if not workers:
             raise CoordinationError("no live workers for a repartition join")
-        worker_count = len(workers)
+        dag = TaskDag()
 
-        def shuffle(table: str, key_column: str, columns: list[str]) -> list[dict[Any, list[tuple]]]:
-            dag = TaskDag()
+        def ship(table: str, columns: list[str]) -> list[int]:
+            # scan_ship routes each projected row on columns[0], the join key
             ship_ids = []
             for node_id, partition_ids in self._assignments(table, cost).items():
-                task = dag.add(
-                    "scan_ship",
-                    node_id,
-                    {"table": table, "partitions": partition_ids, "columns": columns},
-                )
-                ship_ids.append((task.task_id, node_id))
-            results = self._run_dag(dag, cost)
-            buckets: list[dict[Any, list[tuple]]] = [dict() for _ in range(worker_count)]
-            key_position = columns.index(key_column)
-            for task_id, source_node in ship_ids:
-                rows = results[task_id]
-                per_worker_rows: list[list[tuple]] = [[] for _ in range(worker_count)]
-                for row in rows:
-                    bucket = route_row(row, [key_position], worker_count)
-                    per_worker_rows[bucket].append(row)
-                for bucket, bucket_rows in enumerate(per_worker_rows):
-                    if not bucket_rows:
-                        continue
-                    payload = sum(sum(map(value_bytes, row)) for row in bucket_rows)
-                    target_node = workers[bucket]
-                    self._transfer(source_node, target_node, payload, cost)
-                    for row in bucket_rows:
-                        buckets[bucket].setdefault(row[key_position], []).append(row)
-            return buckets
+                params = {
+                    "table": table,
+                    "partitions": partition_ids,
+                    "columns": columns,
+                    "buckets": len(workers),
+                }
+                ship_ids.append(dag.add("scan_ship", node_id, params).task_id)
+            return ship_ids
 
         agg_columns = [a.column for a in query.aggregates if a.column is not None]
-        fact_columns = [query.fact_key] + agg_columns
-        dim_columns = [query.dim_key, query.group_column]
-        fact_buckets = shuffle(query.fact_table, query.fact_key, fact_columns)
-        dim_buckets = shuffle(query.dim_table, query.dim_key, dim_columns)
-
-        # local join + aggregate per worker bucket: the task kernel probes the
-        # bucket's fact rows, in join-key order, against its dim rows. The
-        # shipped rows repeat a column that several aggregates read; the
-        # kernel's partition takes each column once.
-        kernel_columns = list(dict.fromkeys(fact_columns))
-        positions = [fact_columns.index(name) for name in kernel_columns]
-        partials = []
-        for bucket_index, worker in enumerate(workers):
-            # availability seam: the bucket's worker must be reachable
-            self._service_for(worker)
-            fact_rows = PrepackagedPartition(query.fact_table, bucket_index, kernel_columns)
-            for rows in fact_buckets[bucket_index].values():
-                fact_rows.append_rows([[row[p] for p in positions] for row in rows])
-            dim_hash = {
-                key: [row[1:] for row in rows]
-                for key, rows in dim_buckets[bucket_index].items()
-            }
-            groups = run_partial_aggregate(
-                [fact_rows], [], [], list(query.aggregates), (query.fact_key, dim_hash)
-            )
-            partials.append(groups)
-            payload = QueryService.result_bytes(groups)
-            self._transfer(worker, self.node_id, payload, cost)
-        merged = merge_group_states(partials, list(query.aggregates))
-        return finalize_groups(merged, list(query.aggregates))
+        fact_columns = list(dict.fromkeys([query.fact_key] + agg_columns))
+        fact_ids = ship(query.fact_table, fact_columns)
+        dim_ids = ship(query.dim_table, [query.dim_key, query.group_column])
+        join_ids = [
+            dag.add(
+                "join_bucket",
+                worker,
+                {
+                    "bucket": bucket,
+                    "columns": fact_columns,
+                    "fact_inputs": fact_ids,
+                    "aggregates": list(query.aggregates),
+                },
+                fact_ids + dim_ids,
+            ).task_id
+            for bucket, worker in enumerate(workers)
+        ]
+        return self._merge(dag, join_ids, query.aggregates, cost)
 
     def _join_colocated_body(self, query: JoinQuery, cost: PlanCost) -> list[list[Any]]:
         """Both sides hash-partitioned on the join key with aligned
         placement: join entirely node-locally, ship only partial states."""
-        fact_assign = self._assignments(query.fact_table, cost)
         dag = TaskDag()
         probe_ids = []
-        for node_id, partition_ids in fact_assign.items():
-            build = dag.add(
-                "build_hash",
-                node_id,
-                {
-                    "table": query.dim_table,
-                    "partitions": partition_ids,
-                    "key_column": query.dim_key,
-                    "columns": self._dim_payload_columns(query),
-                },
-            )
-            probe = dag.add(
-                "join_partial",
-                node_id,
-                {
-                    "table": query.fact_table,
-                    "partitions": partition_ids,
-                    "fact_key": query.fact_key,
-                    "aggregates": list(query.aggregates),
-                },
-                [build.task_id],
-            )
-            probe_ids.append(probe.task_id)
-        merge = dag.add("merge_aggregate", self.node_id, {}, probe_ids)
-        results = self._run_dag(dag, cost)
-        merged = merge_group_states(results[merge.task_id], list(query.aggregates))
-        return finalize_groups(merged, list(query.aggregates))
+        for node_id, partition_ids in self._assignments(query.fact_table, cost).items():
+            build = self._add_build_hash(dag, node_id, partition_ids, query)
+            probe_ids.append(self._add_probe(dag, node_id, partition_ids, query, build))
+        return self._merge(dag, probe_ids, query.aggregates, cost)

@@ -2,13 +2,13 @@
 
 "At the core is the SAP HANA SOE local query processing executable (v2lqp)
 which contains a query and a data service." The query service executes
-coordinator tasks against the node-local prepackaged partitions, compiling
-each task's kernel first (see :mod:`repro.soe.codegen`): partial
-aggregates and join probes run the same compiled kernel, a probe with the
-shipped dim hash as its input, so this service holds no aggregate-state
-code of its own. The data service
-(:class:`~repro.soe.replication.DataNode`) owns the partitions and applies
-the shared log.
+every coordinator task that touches data, compiling its kernel first (see
+:mod:`repro.soe.codegen`): partial aggregates and the probes of all three
+join strategies run the same compiled kernel, a probe with its dim hash as
+an input. One hash builder serves ``build_hash`` and ``join_bucket``; it
+drops NULL keys, so NULL joins nothing under any strategy. The data
+service (:class:`~repro.soe.replication.DataNode`) owns the partitions and
+applies the shared log.
 
 **Role in the query path:** the leaf executor of the SOE — the v2dqp
 coordinator's task DAG lands here, one task at a time, and only partial
@@ -22,7 +22,7 @@ the v2stats service reads to spot hotspots.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 from repro import obs
 from repro.errors import CoordinationError
@@ -33,6 +33,7 @@ from repro.soe.codegen import (
     estimate_states_bytes,
     run_partial_aggregate,
 )
+from repro.soe.partitions import PrepackagedPartition, route_row
 from repro.soe.replication import DataNode
 from repro.soe.tasks import AggregateSpec, Filter, Task
 
@@ -59,33 +60,38 @@ class QueryService:
                 task.params.get("table"), task.params.get("partitions", ())
             ):
                 if task.kind == "partial_aggregate":
-                    return self._partial_aggregate(task)
+                    return self._aggregate(task, self._local_partitions(task.params))
                 if task.kind == "build_hash":
                     return self._build_hash(task)
                 if task.kind == "join_partial":
                     # the broadcast / co-located probe: the fact partitions
                     # against the dim hash shipped in as the task's input
                     probe = (task.params["fact_key"], inputs[task.inputs[0]])
-                    return self._partial_aggregate(task, probe)
+                    return self._aggregate(task, self._local_partitions(task.params), probe)
                 if task.kind == "scan_ship":
                     return self._scan_ship(task)
+                if task.kind == "join_bucket":
+                    fact, dim_hash = self._shuffled_bucket(task, inputs)
+                    return self._aggregate(task, [fact], (fact.columns[0], dim_hash))
                 raise CoordinationError(
                     f"query service cannot execute task kind {task.kind!r}"
                 )
 
     # -- kernels ------------------------------------------------------------------
 
-    def _local_partitions(self, table: str, partition_ids: list[int]) -> list[Any]:
+    def _local_partitions(self, params: dict[str, Any]) -> list[PrepackagedPartition]:
         store = self.data_node.store
-        return [store.partition(table, pid) for pid in partition_ids]
+        return [store.partition(params["table"], pid) for pid in params["partitions"]]
 
-    def _partial_aggregate(
-        self, task: Task, probe: tuple[str, ProbeHash] | None = None
+    def _aggregate(
+        self,
+        task: Task,
+        partitions: list[PrepackagedPartition],
+        probe: tuple[str, ProbeHash] | None = None,
     ) -> GroupStates:
-        """Run the compiled task kernel over the local partitions; a join
-        probe passes ``(fact key column, shipped dim hash)``."""
+        """Run the compiled task kernel over ``partitions``; a join probe
+        passes ``(fact key column, dim hash)``."""
         params = task.params
-        partitions = self._local_partitions(params["table"], params["partitions"])
         self.rows_processed += sum(len(p) for p in partitions)
         return run_partial_aggregate(
             partitions,
@@ -95,38 +101,50 @@ class QueryService:
             probe,
         )
 
-    def _build_hash(self, task: Task) -> dict[Any, list[tuple]]:
-        """Materialise a (small) table side as key → rows."""
+    def _build_hash(self, task: Task) -> ProbeHash:
+        """Materialise a (small) table side as key → payload rows."""
         params = task.params
-        partitions = self._local_partitions(params["table"], params["partitions"])
-        key_column = params["key_column"]
-        payload_columns = params["columns"]
-        table_hash: dict[Any, list[tuple]] = {}
-        for partition in partitions:
+        table_hash: ProbeHash = {}
+        for partition in self._local_partitions(params):
             self.rows_processed += len(partition)
-            key_pos = partition.columns.index(key_column.lower())
-            payload_pos = [partition.columns.index(c.lower()) for c in payload_columns]
-            for row in partition.rows():
-                key = row[key_pos]
-                if key is None:
-                    continue
-                table_hash.setdefault(key, []).append(
-                    tuple(row[p] for p in payload_pos)
-                )
+            key_pos = partition.columns.index(params["key_column"].lower())
+            payload_pos = [partition.columns.index(c.lower()) for c in params["columns"]]
+            _hash_rows(partition.rows(), key_pos, payload_pos, table_hash)
         return table_hash
 
-    def _scan_ship(self, task: Task) -> list[tuple]:
-        """Project local rows for repartitioning (ships whole tuples)."""
+    def _scan_ship(self, task: Task) -> list[list[tuple]]:
+        """Project local rows for repartitioning into one bucket per
+        worker, routed on the first projected column (the join key)."""
         params = task.params
-        partitions = self._local_partitions(params["table"], params["partitions"])
-        columns = params["columns"]
-        out: list[tuple] = []
-        for partition in partitions:
+        buckets: list[list[tuple]] = [[] for _ in range(params["buckets"])]
+        for partition in self._local_partitions(params):
             self.rows_processed += len(partition)
-            positions = [partition.columns.index(c.lower()) for c in columns]
+            positions = [partition.columns.index(c.lower()) for c in params["columns"]]
             for row in partition.rows():
-                out.append(tuple(row[p] for p in positions))
-        return out
+                shipped = tuple(row[p] for p in positions)
+                buckets[route_row(shipped, [0], params["buckets"])].append(shipped)
+        return buckets
+
+    def _shuffled_bucket(
+        self, task: Task, inputs: dict[int, Any]
+    ) -> tuple[PrepackagedPartition, ProbeHash]:
+        """A worker's repartition-join inputs: its shipped fact rows as one
+        partition in join-key, first-arrival order (the order the kernel
+        folds them in, so float answers do not depend on the shuffle), and
+        a hash of its shipped ``(dim key, group)`` rows."""
+        params = task.params
+        by_key: dict[Any, list[tuple]] = {}
+        for input_id in params["fact_inputs"]:
+            for row in inputs[input_id]:
+                by_key.setdefault(row[0], []).append(row)
+        fact = PrepackagedPartition("bucket", params["bucket"], params["columns"])
+        for rows in by_key.values():
+            fact.append_rows(rows)
+        dim_hash: ProbeHash = {}
+        for input_id in task.inputs:
+            if input_id not in params["fact_inputs"]:
+                _hash_rows(inputs[input_id], 0, [1], dim_hash)
+        return fact, dim_hash
 
     # -- result sizing (for network accounting) -------------------------------------
 
@@ -141,6 +159,19 @@ class QueryService:
                     for key, rows in result.items()
                 )
             return estimate_states_bytes(result)
-        if isinstance(result, list):
-            return sum(sum(map(value_bytes, row)) for row in result)
-        return 64
+        # shipped rows: a scan_ship bucket
+        return sum(sum(map(value_bytes, row)) for row in result)
+
+
+def _hash_rows(
+    rows: Iterable[Sequence[Any]],
+    key_pos: int,
+    payload_pos: list[int],
+    table_hash: ProbeHash,
+) -> None:
+    """Add rows to a join hash as key → payload tuples. A NULL key joins
+    nothing, so its row is dropped."""
+    for row in rows:
+        key = row[key_pos]
+        if key is not None:
+            table_hash.setdefault(key, []).append(tuple(row[p] for p in payload_pos))

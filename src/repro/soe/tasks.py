@@ -14,13 +14,21 @@ from typing import Any
 from repro.errors import CoordinationError
 
 
+#: filter operator -> the Python comparison the task kernel compiles it to
+FILTER_OPS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+
+
 @dataclass(frozen=True)
 class Filter:
     """A simple pushed-down predicate: column <op> value."""
 
     column: str
-    op: str  # "=", "<>", "<", "<=", ">", ">="
+    op: str  # a key of FILTER_OPS
     value: Any
+
+    def __post_init__(self) -> None:
+        if self.op not in FILTER_OPS:
+            raise CoordinationError(f"unknown filter operator {self.op!r}")
 
 
 @dataclass(frozen=True)
@@ -42,7 +50,9 @@ class Task:
     """One node-assigned unit of work in the DAG."""
 
     task_id: int
-    kind: str               # partial_aggregate | merge_aggregate | build_hash | join_partial | collect
+    #: partial_aggregate | build_hash | join_partial | scan_ship | join_bucket
+    #: (on a query service) | collect | merge_aggregate (at the coordinator)
+    kind: str
     node_id: str
     params: dict[str, Any] = field(default_factory=dict)
     inputs: list[int] = field(default_factory=list)

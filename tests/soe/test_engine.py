@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ClusterError, CoordinationError
+from repro.errors import ClusterError, CoordinationError, ReproError
 from repro.soe.engine import SoeEngine
 
 
@@ -31,6 +31,27 @@ def test_column_names_are_case_insensitive(small_soe):
     lower, _ = small_soe.aggregate("readings", ["region"], [("sum", "value")])
     upper, _ = small_soe.aggregate("READINGS", ["REGION"], [("sum", "VALUE")])
     assert upper == lower
+
+
+def test_front_door_rejects_bad_names_and_ops_with_typed_errors(small_soe):
+    upper, _ = small_soe.aggregate(
+        "readings", aggregates=[("count", None)], filters=[("VALUE", ">=", 50.0)]
+    )
+    assert upper == [[300]]
+    small_soe.create_table("regions", ["region", "zone"], ["region"])
+    small_soe.load("regions", [["r0", "z0"], ["r1", "z1"]])
+    bad_calls = [
+        lambda: small_soe.aggregate("readings", filters=[("value", "!!", 1)]),
+        lambda: small_soe.aggregate("readings", filters=[("nope", ">", 1)]),
+        lambda: small_soe.aggregate("readings", aggregates=[("sum", "nope")]),
+        lambda: small_soe.aggregate("readings", group_by=["nope"]),
+        lambda: small_soe.join(
+            "readings", "regions", "region", "region", "nope", [("sum", "value")]
+        ),
+    ]
+    for call in bad_calls:
+        with pytest.raises(ReproError):
+            call()
 
 
 def test_insert_visibility_eventual_vs_strong(small_soe):
@@ -88,9 +109,11 @@ def test_join_strategies_agree_on_every_aggregate():
         ],
     )
     # NULL group values for keys 0, 5, 10, 15; key 3 appears twice
+    # a NULL dim key joins nothing, not even the NULL fact keys
     soe.load(
         "dim",
-        [[i, None if i % 5 == 0 else f"g{i % 4}"] for i in range(20)] + [[3, "g9"]],
+        [[i, None if i % 5 == 0 else f"g{i % 4}"] for i in range(20)]
+        + [[3, "g9"], [None, "gn"]],
     )
     aggregates = [
         ("count", None),
@@ -141,6 +164,14 @@ def test_communication_costs_order_by_strategy():
         results[strategy] = sorted(map(tuple, rows))
     assert results["broadcast"] == results["repartition"]
     assert costs["broadcast"] < costs["repartition"]
+
+    # the shuffle ships each fact column once, however many aggregates
+    # read it: a second aggregate over v adds only its partial states
+    _rows, two_aggregates = soe.join(
+        "fact", "dim", "k", "k", "grp", [("sum", "v"), ("avg", "v")], strategy="repartition"
+    )
+    states_shipped = 4 * 3  # workers x groups
+    assert two_aggregates.bytes_shipped - costs["repartition"] <= 16 * states_shipped
 
     # when both sides ARE hash-partitioned on the join key, a co-located
     # plan ships only the final partial states — the cheapest of all.
